@@ -63,12 +63,11 @@ class TimedQueue {
 ///
 /// Multi-producer sinks (the cache modules' inject queues, the PS unit's
 /// request inbox) use this so the service order is a function of simulated
-/// time and topology only — two engines that deliver the same entries with
-/// the same ready-times pop them identically even if the *push* interleaving
-/// differs (the sequential engine pushes in event order; the PDES engine
-/// pushes at barrier application in shard order). Per-source FIFO is
-/// preserved: entries from one key keep their relative push order (seq is
-/// globally monotone, and any one source's pushes are totally ordered).
+/// time and topology only, not of the order in which producers' events
+/// happened to push; the golden Stats pin the arbitration it yields.
+/// Per-source FIFO is preserved: entries from one key keep their relative
+/// push order (seq is globally monotone, and any one source's pushes are
+/// totally ordered).
 template <typename T>
 class ArbTimedQueue {
  public:

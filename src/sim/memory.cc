@@ -9,19 +9,16 @@ namespace xmt {
 std::uint8_t* SparseMemory::page(std::uint32_t addr) {
   std::uint32_t idx = addr >> kPageBits;
   std::uint32_t topIdx = idx >> kMidBits;
-  Mid* mid = top_[topIdx].load(std::memory_order_relaxed);
+  Mid*& mid = top_[topIdx];
   if (mid == nullptr) {
     midStore_.push_back(std::make_unique<Mid>());
     mid = midStore_.back().get();
-    top_[topIdx].store(mid, std::memory_order_release);
   }
-  std::atomic<std::uint8_t*>& slot = mid->slots[idx & (kMidSize - 1)];
-  std::uint8_t* p = slot.load(std::memory_order_relaxed);
+  std::uint8_t*& p = mid->slots[idx & (kMidSize - 1)];
   if (p == nullptr) {
     pageStore_.push_back(std::make_unique<std::uint8_t[]>(kPageSize));
     p = pageStore_.back().get();
     std::memset(p, 0, kPageSize);
-    slot.store(p, std::memory_order_release);
     ++resident_;
   }
   return p;
@@ -29,9 +26,9 @@ std::uint8_t* SparseMemory::page(std::uint32_t addr) {
 
 const std::uint8_t* SparseMemory::findPage(std::uint32_t addr) const {
   std::uint32_t idx = addr >> kPageBits;
-  const Mid* mid = top_[idx >> kMidBits].load(std::memory_order_acquire);
+  const Mid* mid = top_[idx >> kMidBits];
   if (mid == nullptr) return nullptr;
-  return mid->slots[idx & (kMidSize - 1)].load(std::memory_order_acquire);
+  return mid->slots[idx & (kMidSize - 1)];
 }
 
 std::uint32_t SparseMemory::readWord(std::uint32_t addr) const {
@@ -82,10 +79,10 @@ SparseMemory::snapshot() const {
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> out;
   out.reserve(resident_);
   for (std::uint32_t t = 0; t < kTopSize; ++t) {
-    const Mid* mid = top_[t].load(std::memory_order_acquire);
+    const Mid* mid = top_[t];
     if (mid == nullptr) continue;
     for (std::uint32_t m = 0; m < kMidSize; ++m) {
-      const std::uint8_t* p = mid->slots[m].load(std::memory_order_acquire);
+      const std::uint8_t* p = mid->slots[m];
       if (p == nullptr) continue;
       out.emplace_back((t << kMidBits) | m,
                        std::vector<std::uint8_t>(p, p + kPageSize));
@@ -97,8 +94,7 @@ SparseMemory::snapshot() const {
 void SparseMemory::restore(
     const std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>&
         pages) {
-  for (std::uint32_t t = 0; t < kTopSize; ++t)
-    top_[t].store(nullptr, std::memory_order_relaxed);
+  top_.fill(nullptr);
   midStore_.clear();
   pageStore_.clear();
   resident_ = 0;

@@ -8,22 +8,10 @@
 // Layout: a two-level radix table (1024 lazily-allocated mid nodes of 1024
 // page slots each) instead of a std::map, so a page lookup is two indexed
 // loads with no tree walk — this is the hot path of every cache-module
-// serve. Node and page pointers are installed with release stores and read
-// with acquire loads, giving the following thread-safety contract (used by
-// the PDES engine, where cluster shards read the read-only-cache path while
-// the hub shard owns all mutation):
-//   - exactly ONE writer thread may call the mutating operations;
-//   - any number of reader threads may concurrently call readWord/readByte,
-//     and always observe either a fully-zeroed or fully-installed page;
-//   - a racing read to a *byte* the writer is concurrently changing is a
-//     data race in the simulated program, not in the simulator: accesses go
-//     through per-byte-disjoint memcpy of word granularity, and programs the
-//     toolchain admits (race-lint clean, spawn discipline) never do this.
-// snapshot()/restore() require quiescence (no concurrent readers).
+// serve. Not thread-safe: each simulation owns its memory.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -70,13 +58,13 @@ class SparseMemory {
   static constexpr std::uint32_t kTopSize = 1u << (32 - kPageBits - kMidBits);
 
   struct Mid {
-    std::array<std::atomic<std::uint8_t*>, kMidSize> slots{};
+    std::array<std::uint8_t*, kMidSize> slots{};
   };
 
   std::uint8_t* page(std::uint32_t addr);            // writer: creates
   const std::uint8_t* findPage(std::uint32_t addr) const;  // reader: or null
 
-  std::array<std::atomic<Mid*>, kTopSize> top_{};
+  std::array<Mid*, kTopSize> top_{};
   std::vector<std::unique_ptr<Mid>> midStore_;
   std::vector<std::unique_ptr<std::uint8_t[]>> pageStore_;
   std::size_t resident_ = 0;

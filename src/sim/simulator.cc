@@ -70,18 +70,6 @@ void Simulator::setTraceSink(TraceSink* sink) {
   if (cycle_) cycle_->setTraceSink(sink);
 }
 
-void Simulator::setPdesShards(int shards) {
-  if (cycle_)
-    throw SimError("setPdesShards must be called before the first run");
-  if (mode_ != SimMode::kCycleAccurate && shards > 1)
-    throw SimError("PDES applies to cycle-accurate mode only");
-  pdesShards_ = shards < 1 ? 1 : shards;
-}
-
-int Simulator::pdesShards() const {
-  return cycle_ ? cycle_->pdesShards() : 1;
-}
-
 void Simulator::onCommit(int cluster, int tcu, const Instruction& in,
                          std::uint32_t pc, std::uint32_t memAddr) {
   for (const auto& f : filters_) f->onCommit(cluster, tcu, in, pc, memAddr);
@@ -105,13 +93,7 @@ void Simulator::onMemAccess(const MemAccess& access) {
 
 void Simulator::ensureCycleModel() {
   if (cycle_) return;
-  // PDES gates: observer/trace callbacks assume a single deterministic
-  // interleaving, so any attached sink pins the model to the sequential
-  // engine. Stats are bit-identical either way; only wall-clock differs.
-  int shards = pdesShards_;
-  if (trace_ != nullptr || !filters_.empty() || !activities_.empty())
-    shards = 1;
-  cycle_ = std::make_unique<CycleModel>(*func_, config_, stats_, shards);
+  cycle_ = std::make_unique<CycleModel>(*func_, config_, stats_);
   cycle_->setCommitObserver(this);
   if (trace_) cycle_->setTraceSink(trace_);
   for (auto& a : activities_)
@@ -156,11 +138,6 @@ RunResult Simulator::run(std::uint64_t maxCycles) {
 RunResult Simulator::runToCheckpoint(std::uint64_t minCycles) {
   if (mode_ != SimMode::kCycleAccurate)
     throw SimError("checkpoints require cycle-accurate mode");
-  // Quiescence detection polls in-flight package counts at instruction
-  // boundaries, which is only exact on the sequential engine.
-  if (cycle_ ? cycle_->pdesShards() > 1 : pdesShards_ > 1)
-    throw SimError("checkpoints require the sequential engine; do not "
-                   "combine setPdesShards with runToCheckpoint");
   ensureCycleModel();
   cycle_->requestCheckpointStop(minCycles);
   RunResult r = finishCycleResult(cycle_->run());

@@ -220,6 +220,17 @@ void validateWorkloadParams(const WorkloadEntry& entry,
       throw ConfigError("workload." + key, "not a parameter of workload '" +
                                                entry.name + "'");
   }
+  // Sizes the generated kernels cannot run: the fft butterflies index RE/IM
+  // through log2(n) radix-2 stages, and a 0x0 matmul has nothing to compute.
+  // The generators' default sizes are in range.
+  if (!params.has("n")) return;
+  std::int64_t n = params.getInt("n", 0);
+  if (entry.name == "fft" && (n < 2 || (n & (n - 1)) != 0))
+    throw ConfigError("workload.n", "fft needs a power of two >= 2, got " +
+                                        std::to_string(n));
+  if (entry.name == "matmul" && n < 1)
+    throw ConfigError("workload.n",
+                      "matmul needs n >= 1, got " + std::to_string(n));
 }
 
 std::string WorkloadInstance::key() const {

@@ -56,8 +56,9 @@ const std::vector<WorkloadEntry>& workloadRegistry();
 /// known names when `name` is not registered.
 const WorkloadEntry& findWorkload(const std::string& name);
 
-/// Validates that every param key is accepted by the workload; throws
-/// ConfigError naming the bad key otherwise.
+/// Validates that every param key is accepted by the workload and that the
+/// size parameters are in the kernel's domain (fft n a power of two >= 2,
+/// matmul n >= 1); throws ConfigError naming the bad key otherwise.
 void validateWorkloadParams(const WorkloadEntry& entry, const ConfigMap& params);
 
 /// Builds the XMTC source for an instance (validates params first).

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 
 #include "tests/sim_test_util.h"
 
@@ -154,7 +155,13 @@ struct PsmLitmusParam {
   int threads;
   int delay;
   bool hashing;
+  // gtest names each case by a dump of this struct's bytes. Left as
+  // padding, these three bytes would be uninitialised and could hold part
+  // of a pointer, giving a case a new name on every run.
+  char pad[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<PsmLitmusParam>,
+              "every byte of a case's name must be initialised");
 
 class PsmOrdering : public ::testing::TestWithParam<PsmLitmusParam> {};
 

@@ -635,6 +635,24 @@ Lspin:
     Simulator sim(p, cfg, SimMode::kCycleAccurate);
     EXPECT_THROW(sim.run(), SimError);
   }
+
+  // The budget is exact in both modes, also when many clusters commit in
+  // the same cycle: a halting program that commits N instructions completes
+  // under a budget of N and throws under N - 1.
+  Program vadd = assemble(kVectorAddOne);
+  for (SimMode mode : {SimMode::kFunctional, SimMode::kCycleAccurate}) {
+    std::uint64_t n = Simulator(vadd, XmtConfig::fpga64(), mode).run()
+                          .instructions;
+    ASSERT_GT(n, 100u);
+    XmtConfig exact = XmtConfig::fpga64();
+    exact.maxInstructions = n;
+    RunResult r = Simulator(vadd, exact, mode).run();
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(r.instructions, n);
+    exact.maxInstructions = n - 1;
+    Simulator over(vadd, exact, mode);
+    EXPECT_THROW(over.run(), SimError);
+  }
 }
 
 TEST(SimControl, FunctionalModeNotResumable) {

@@ -5,10 +5,13 @@
 
 #include <cstring>
 
+#include "src/campaign/spec.h"
+#include "src/common/error.h"
 #include "src/common/rng.h"
 #include "src/core/toolchain.h"
 #include "src/workloads/graphs.h"
 #include "src/workloads/kernels.h"
+#include "src/workloads/registry.h"
 
 namespace xmt {
 namespace {
@@ -299,6 +302,36 @@ TEST(WorkloadKernels, MemIntensiveWaitsMoreThanCompute) {
       static_cast<double>(comp.sim->stats().memWaitCycles) /
       static_cast<double>(comp.sim->stats().instructions);
   EXPECT_GT(memWaitFrac, compWaitFrac);
+}
+
+// Sizes outside a kernel's domain are structured config errors, not silent
+// runs: fft n=6 used to halt cleanly while reading RE/IM out of bounds.
+TEST(WorkloadRegistry, RejectsSizesOutsideTheKernelDomain) {
+  auto fieldOf = [](const std::string& name, const std::string& n) {
+    workloads::WorkloadInstance w;
+    w.name = name;
+    w.params.set("n", n);
+    try {
+      workloads::instanceSource(w);
+    } catch (const ConfigError& e) {
+      return e.field();
+    }
+    return std::string("accepted");
+  };
+  for (const char* n : {"6", "0", "1", "-4", "96"})
+    EXPECT_EQ(fieldOf("fft", n), "workload.n") << "fft n=" << n;
+  for (const char* n : {"0", "-1"})
+    EXPECT_EQ(fieldOf("matmul", n), "workload.n") << "matmul n=" << n;
+  for (const char* n : {"2", "16", "2048"})
+    EXPECT_EQ(fieldOf("fft", n), "accepted") << "fft n=" << n;
+  for (const char* n : {"1", "4", "40", "128"})
+    EXPECT_EQ(fieldOf("matmul", n), "accepted") << "matmul n=" << n;
+
+  // Campaign specs fail when they are expanded, before any point runs.
+  auto spec = campaign::CampaignSpec::fromText(
+      "campaign = bad_fft\nbase = fpga64\nsweep.clusters = 1,2\n"
+      "workload = fft\nworkload.n = 6\nmode = functional\n");
+  EXPECT_THROW(spec.expand(), ConfigError);
 }
 
 }  // namespace
